@@ -10,7 +10,6 @@ import (
 	"laacad/internal/core"
 	"laacad/internal/coverage"
 	"laacad/internal/region"
-	"laacad/internal/shard"
 	"laacad/internal/voronoi"
 	"laacad/internal/wsn"
 )
@@ -291,35 +290,6 @@ func BenchmarkStepParallel(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					eng.Step()
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkShardStep measures one synchronous round through the
-// stripe-partitioned sharded engine across shard counts at two network
-// sizes. shards=1 is the baseline (one shard owning the whole region, no
-// halo traffic beyond the protocol's fixed skeleton); higher counts add the
-// ρ-halo exchange overhead the sharding design must amortize. The
-// trajectory is bit-identical to the shared-memory engine for every cell,
-// so all sub-benchmarks time the same deployment work.
-func BenchmarkShardStep(b *testing.B) {
-	reg := UnitSquareKm()
-	for _, n := range []int{250, 1000} {
-		for _, s := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("n=%d/shards=%d", n, s), func(b *testing.B) {
-				cfg := DefaultConfig(2)
-				cfg.Epsilon = 1e-9 // keep every node moving for the whole run
-				eng, err := shard.New(reg, benchStart(reg, n, 42), cfg, s)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer eng.Close()
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

@@ -43,11 +43,7 @@ func (e *Engine) batchOn() bool { return !e.cfg.DisableBatch }
 // down). The returned refs point into s.vor's slab and are valid until the
 // next batch region computation on s.
 func centralizedRegionSoA(net *wsn.Network, reg *region.Region, i, k int, startRho float64, s *Scratch) ([]geom.PolyRef, float64, float64) {
-	// SearchLen, not Len: a sharded local network reports the global
-	// deployment size here so the fallback radius — and with it the whole
-	// probe sequence and its floating-point evaluation order — matches the
-	// shared-memory engine bit for bit.
-	n := net.SearchLen()
+	n := net.Len()
 	pieces := reg.Pieces()
 	diag := reg.BBox().Diagonal()
 	ui := net.Position(i)

@@ -360,7 +360,9 @@ type movedNode struct {
 var ErrStop = errors.New("core: observer stopped the run")
 
 // New creates an Engine deploying the given initial node positions over reg.
-// Initial positions outside the region are clamped inside.
+// Initial positions outside the region are clamped inside. Two clamped
+// starts that coincide (geom.Point.Eq) have no bisector and would never
+// separate, so New rejects them with an error naming the first such pair.
 func New(reg *region.Region, initial []geom.Point, cfg Config) (*Engine, error) {
 	if reg == nil {
 		return nil, fmt.Errorf("core: nil region")
@@ -395,6 +397,9 @@ func New(reg *region.Region, initial []geom.Point, cfg Config) (*Engine, error) 
 	// index with it means expansion-phase moves (a corner pile spreading
 	// out) never exit the grid bounds and never force a rebuild.
 	net.SetBoundsHint(reg.BBox())
+	if i, j, ok := net.CoincidentPair(); ok {
+		return nil, fmt.Errorf("core: nodes %d and %d start at coincident positions %v and %v after clamping into the region", i, j, pos[i], pos[j])
+	}
 	return &Engine{
 		cfg:      cfg,
 		reg:      reg,

@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"laacad/internal/boundary"
@@ -46,6 +48,42 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(reg, pts, DefaultConfig(2)); err != nil {
 		t.Errorf("default config rejected: %v", err)
+	}
+}
+
+// Coincident starts have no bisector: the first case used to panic in
+// geom.Bisector, the second to report convergence with three nodes stuck on
+// one point. New must reject both, naming the first coincident pair, in
+// either update order; starts just beyond geom.Eps apart stay accepted.
+func TestNewRejectsCoincidentStarts(t *testing.T) {
+	cases := []struct {
+		name string
+		k    int
+		pts  []geom.Point
+		pair string // "" when the starts are distinct
+	}{
+		{"within-eps/k=1", 1, []geom.Point{geom.Pt(0.5, 0.5), geom.Pt(0.5+4e-10, 0.5), geom.Pt(0.2, 0.8), geom.Pt(0.8, 0.2)}, "nodes 0 and 1"},
+		{"three-equal/k=2", 2, []geom.Point{geom.Pt(0.5, 0.5), geom.Pt(0.5, 0.5), geom.Pt(0.5, 0.5), geom.Pt(0.2, 0.2)}, "nodes 0 and 1"},
+		{"clamped-equal/k=1", 1, []geom.Point{geom.Pt(0.3, 0.3), geom.Pt(1.5, 0.4), geom.Pt(2, 0.4)}, "nodes 1 and 2"},
+		{"beyond-eps/k=1", 1, []geom.Point{geom.Pt(0.5, 0.5), geom.Pt(0.5+2*geom.Eps, 0.5), geom.Pt(0.2, 0.8)}, ""},
+	}
+	reg := region.UnitSquareKm()
+	for _, c := range cases {
+		for _, order := range []UpdateOrder{Synchronous, Sequential} {
+			t.Run(fmt.Sprintf("%s/%v", c.name, order), func(t *testing.T) {
+				cfg := DefaultConfig(c.k)
+				cfg.Order = order
+				_, err := New(reg, c.pts, cfg)
+				switch {
+				case c.pair == "" && err != nil:
+					t.Fatalf("distinct starts rejected: %v", err)
+				case c.pair != "" && err == nil:
+					t.Fatal("coincident starts accepted")
+				case c.pair != "" && !strings.Contains(err.Error(), c.pair):
+					t.Fatalf("error %q does not name %s", err, c.pair)
+				}
+			})
+		}
 	}
 }
 

@@ -25,9 +25,8 @@ type Scratch struct {
 
 	// searchRho is the expanding search's final (pre-tightening) radius from
 	// the last centralized region computation: the widest ball the search
-	// actually read positions from. The sharded engine uses it as the read
-	// radius when deciding whether a locally computed outcome can be trusted
-	// (the tightened return value under-reports what was gathered).
+	// actually read positions from, reported as StepOutcome.ReadRad (the
+	// tightened return value under-reports what was gathered).
 	searchRho float64
 }
 
@@ -73,7 +72,7 @@ func CentralizedDominatingRegionScratch(net *wsn.Network, reg *region.Region, i,
 // region's circumradius R̂ about u_i (computed as a by-product of the
 // exactness check).
 func centralizedRegionScratch(net *wsn.Network, reg *region.Region, i, k int, s *Scratch) ([]geom.Polygon, float64, float64) {
-	n := net.SearchLen() // global deployment size under sharding (see batch.go)
+	n := net.Len()
 	pieces := reg.Pieces()
 	diag := reg.BBox().Diagonal()
 	ui := net.Position(i)

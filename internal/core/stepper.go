@@ -11,24 +11,17 @@ import (
 	"laacad/internal/wsn"
 )
 
-// Stepper is the shard-steppable extraction of the round engine: the per-node
-// computation of Engine.Step — dominating region, Chebyshev center, motion
-// rule, Localized message accounting — exposed over a caller-owned
-// wsn.Network, with the round number, the node's global identity and the
-// warm-start hint made explicit instead of read from engine state.
-//
-// The sharded engine (internal/shard) gives each shard a Stepper over a local
-// network holding only the shard's window of the deployment. Because every
-// arithmetic step routes through exactly the code the shared-memory engine
-// runs — same kernels, same search loops, same accounting — a locally
-// computed outcome whose read ball lies inside the window is bitwise the
-// outcome the global engine would have produced (see StepOutcome.ReadRad for
-// the trust radius).
+// Stepper exposes the per-node computation of Engine.Step — dominating
+// region, Chebyshev center, motion rule, Localized message accounting — over
+// a caller-owned wsn.Network, with the round's inputs (warm-start hint,
+// boundary flag, loss stream) passed explicitly instead of read from engine
+// state. It runs exactly the kernels and search loops the engine runs, so a
+// caller can replay or time one node's step in isolation.
 type Stepper struct {
 	eng *Engine
 }
 
-// NewStepper validates cfg against the global node count n — applying exactly
+// NewStepper validates cfg against the node count n — applying exactly
 // the defaults Engine's constructor would (RingCap, detector, loss retries,
 // arc samples) — and returns a stepper with no network attached yet. The
 // normalized configuration is readable via Config.
@@ -56,10 +49,10 @@ func (st *Stepper) Config() Config { return st.eng.cfg }
 // angular-gap detector).
 func (st *Stepper) Detector() boundary.Detector { return st.eng.detector }
 
-// IndexGamma returns the cell-sizing gamma a local network must be
-// constructed with so its spatial index and radio range match the
-// shared-memory engine's (Localized queries and boundary detection read
-// net.Gamma(), so this is a correctness requirement, not a tuning choice).
+// IndexGamma returns the cell-sizing gamma a network must be constructed
+// with so its spatial index and radio range match the engine's (Localized
+// queries and boundary detection read net.Gamma(), so this is a correctness
+// requirement, not a tuning choice).
 func (st *Stepper) IndexGamma() float64 {
 	if g := st.eng.cfg.Gamma; g > 0 {
 		return g
@@ -72,20 +65,8 @@ func (st *Stepper) IndexGamma() float64 {
 // positions.
 func (st *Stepper) SetNetwork(net *wsn.Network) { st.eng.net = net }
 
-// NodeRNG returns the deterministic per-(seed, round, node) stream keying the
-// engine's message-loss sampling — exported for the sharded engine, which
-// must derive streams from global node IDs whatever a shard's local
-// numbering, or loss draws would depend on the partition.
-func NodeRNG(seed int64, round, node int) *rand.Rand { return nodeRNG(seed, round, node) }
-
-// FinalRoundTag returns the negative round tag Finalize and DebugRegions use
-// for their out-of-round region recomputation after the given number of
-// completed rounds — a domain separate from every Step round, so an
-// inspection fan-out never replays the loss draws the next Step would make.
-func FinalRoundTag(rounds int) int { return -(rounds + 1) }
-
-// StepOutcome is one node's round computation with the locality facts a
-// sharded caller needs to decide whether to trust it.
+// StepOutcome is one node's round computation together with the radii of
+// the positions it read.
 type StepOutcome struct {
 	// Next is the node's position after the motion rule (unchanged when the
 	// node stands still).
@@ -107,14 +88,7 @@ type StepOutcome struct {
 	// computation actually read positions from: for Centralized, the
 	// expanding search's final pre-tightening radius; for Localized, the
 	// search's invalidation radius (hop-limited rings inflated to whole
-	// hops, floored at γ). If every position within ReadRad of the node is
-	// globally current in the attached network, the outcome is bitwise what
-	// the shared-memory engine computes — with one Centralized caveat: the
-	// expanding search may also exit by exhausting the local network
-	// ("len == n−1"), which reads the local node count, so a Centralized
-	// outcome is only trusted when additionally 2·Rhat ≤ ReadRad (the
-	// exactness exit, which depends on geometry alone) or the window spans
-	// the whole deployment.
+	// hops, floored at γ).
 	ReadRad float64
 	// InvRad is the cache-invalidation radius: the outcome stays valid until
 	// some position within InvRad of the node changes. It doubles as the
@@ -126,10 +100,10 @@ type StepOutcome struct {
 // StepNode computes node i's round outcome on the attached network. hint
 // warm-starts the Centralized expanding search (pass the node's last InvRad,
 // or 0). isBoundary and rng apply in Localized mode only: the boundary flag
-// as start-of-round truth, and the node's private loss stream (NodeRNG over
-// the global ID; nil when LossRate is 0). Localized searches charge the
-// attached network's counters for node i — callers measure a computation's
-// cost by diffing NodeMessages around the call.
+// as start-of-round truth, and the node's private loss stream (nil when
+// LossRate is 0). Localized searches charge the attached network's counters
+// for node i — callers measure a computation's cost by diffing NodeMessages
+// around the call.
 func (st *Stepper) StepNode(i int, hint float64, isBoundary bool, rng *rand.Rand, s *Scratch) StepOutcome {
 	e := st.eng
 	if e.cfg.Mode == Localized {
@@ -167,29 +141,6 @@ func (st *Stepper) StepNode(i int, hint float64, isBoundary bool, rng *rand.Rand
 		}
 	}
 	return exportOutcome(out, s.searchRho, rho)
-}
-
-// RegionPolys computes node i's dominating region at the current local
-// positions — the Finalize/DebugRegions recompute path — returning compacted
-// polygons plus the same ReadRad trust radius StepNode reports (the caller
-// derives R̂ with voronoi.MaxDistFrom). rng must be the node's stream for
-// the negative FinalRoundTag round.
-func (st *Stepper) RegionPolys(i int, hint float64, isBoundary bool, rng *rand.Rand, s *Scratch) ([]geom.Polygon, float64) {
-	e := st.eng
-	if e.cfg.Mode == Localized {
-		if e.batchOn() {
-			refs, inv := e.localizedRegionRefs(i, isBoundary, rng, s)
-			return voronoi.CompactRefs(&s.vor.Slab, refs), inv
-		}
-		polys, inv := e.localizedRegionOf(i, isBoundary, rng, s)
-		return voronoi.CompactRegion(polys), inv
-	}
-	if e.batchOn() {
-		refs, _, _ := centralizedRegionSoA(e.net, e.reg, i, e.cfg.K, hint, s)
-		return voronoi.CompactRefs(&s.vor.Slab, refs), s.searchRho
-	}
-	polys, _, _ := centralizedRegionScratch(e.net, e.reg, i, e.cfg.K, s)
-	return voronoi.CompactRegion(polys), s.searchRho
 }
 
 // exportOutcome converts the internal outcome to the exported mirror.

@@ -30,10 +30,7 @@ import (
 // The option composes with WithObserver and WithSnapshotEvery; publication
 // happens before the user observer runs, so an observer reading reg sees
 // the round it was called for. Async (event-driven) runners publish only
-// the round-progress counters. Sharded runs (WithShards) publish the
-// round-progress counters plus live halo-traffic gauges ("shard.halo_msgs",
-// "shard.halo_bytes", "shard.exchanges") and the shard count
-// ("shard.shards").
+// the round-progress counters.
 func WithMetrics(reg *metrics.Registry) Option {
 	return func(o *options) { o.metrics = reg }
 }
@@ -44,19 +41,6 @@ func instrument(r *labeledRunner, reg *metrics.Registry) func(core.RoundStats) {
 	rounds := reg.Counter("engine.rounds")
 	moved := reg.Counter("engine.moved_last_round")
 	msgs := reg.Counter("engine.messages_last_round")
-	if sh, ok := ShardEngine(r); ok {
-		// Sharded runs expose the halo-exchange traffic — the metered cost of
-		// keeping the stripe windows coherent — as live gauges over atomics.
-		reg.Gauge("shard.halo_msgs", func() int64 { return sh.HaloStats().Msgs })
-		reg.Gauge("shard.halo_bytes", func() int64 { return sh.HaloStats().Bytes })
-		reg.Gauge("shard.exchanges", func() int64 { return sh.HaloStats().Exchanges })
-		reg.Counter("shard.shards").Set(int64(sh.Shards()))
-		return func(st core.RoundStats) {
-			rounds.Set(int64(st.Round))
-			moved.Set(int64(st.Moved))
-			msgs.Set(st.Messages)
-		}
-	}
 	eng, ok := Engine(r)
 	if !ok {
 		return func(st core.RoundStats) {

@@ -6,7 +6,6 @@ import (
 
 	"laacad/internal/core"
 	"laacad/internal/metrics"
-	"laacad/internal/shard"
 	"laacad/internal/sim"
 	"laacad/internal/snapshot"
 )
@@ -47,7 +46,6 @@ type options struct {
 	observer      Observer
 	workers       *int
 	maxRounds     *int
-	shards        int
 	snapshotEvery int
 	snapshotSink  func(*snapshot.State) error
 	metrics       *metrics.Registry
@@ -71,16 +69,6 @@ func WithWorkers(n int) Option {
 // scenarios, whose budget is AsyncConfig.MaxTime.
 func WithMaxRounds(n int) Option {
 	return func(o *options) { o.maxRounds = &n }
-}
-
-// WithShards runs the synchronous engine sharded: the region is partitioned
-// into n vertical stripes, each owned by one shard goroutine, exchanging
-// ρ-halos of border positions over typed channels. Positions, trace, radii
-// and message totals are bit-identical to the shared-memory engine for every
-// shard count. n ≤ 1 selects the shared-memory engine; async scenarios
-// ignore the option.
-func WithShards(n int) Option {
-	return func(o *options) { o.shards = n }
 }
 
 // WithSnapshotEvery checkpoints the run every `every` completed rounds
@@ -129,18 +117,6 @@ func Engine(r Runner) (*core.Engine, bool) {
 	return nil, false
 }
 
-// ShardEngine unwraps the sharded engine behind a Runner, if that is what
-// it is — the handle for halo-traffic statistics.
-func ShardEngine(r Runner) (*shard.Engine, bool) {
-	switch v := r.(type) {
-	case *shard.Engine:
-		return v, true
-	case *labeledRunner:
-		return ShardEngine(v.inner)
-	}
-	return nil, false
-}
-
 // AsyncDeployment unwraps the event-driven simulator behind a Runner, if
 // that is what it is.
 func AsyncDeployment(r Runner) (*sim.Deployment, bool) {
@@ -185,19 +161,11 @@ func NewRunner(sc Scenario, opts ...Option) (Runner, error) {
 		if o.maxRounds != nil {
 			cfg.MaxRounds = *o.maxRounds
 		}
-		if o.shards > 1 {
-			eng, err := shard.New(reg, initial, cfg, o.shards)
-			if err != nil {
-				return nil, err
-			}
-			inner = eng
-		} else {
-			eng, err := core.New(reg, initial, cfg)
-			if err != nil {
-				return nil, err
-			}
-			inner = eng
+		eng, err := core.New(reg, initial, cfg)
+		if err != nil {
+			return nil, err
 		}
+		inner = eng
 	}
 	r := &labeledRunner{inner: inner, scenario: sc.Name, region: sc.Region}
 	attach(r, &o)
@@ -247,19 +215,11 @@ func ResumeRunner(st *snapshot.State, opts ...Option) (Runner, error) {
 		if o.maxRounds != nil {
 			st.Config.MaxRounds = *o.maxRounds
 		}
-		if o.shards > 1 {
-			eng, err := shard.Resume(reg, st, o.shards)
-			if err != nil {
-				return nil, err
-			}
-			inner = eng
-		} else {
-			eng, err := core.Resume(reg, st)
-			if err != nil {
-				return nil, err
-			}
-			inner = eng
+		eng, err := core.Resume(reg, st)
+		if err != nil {
+			return nil, err
 		}
+		inner = eng
 	case snapshot.KindAsync:
 		d, err := sim.Resume(reg, st)
 		if err != nil {

@@ -192,7 +192,7 @@ func (a *epochAcc) stats(epoch int) core.RoundStats {
 }
 
 // NewDeployment prepares an asynchronous deployment of the given initial
-// positions over reg.
+// positions over reg. Like core.New, it rejects coincident clamped starts.
 func NewDeployment(reg *region.Region, initial []geom.Point, cfg Config) (*Deployment, error) {
 	if reg == nil {
 		return nil, fmt.Errorf("sim: nil region")
@@ -208,6 +208,9 @@ func NewDeployment(reg *region.Region, initial []geom.Point, cfg Config) (*Deplo
 	// Every position stays clamped inside reg, so region-seeded grid bounds
 	// absorb all mid-simulation moves without bounds-exit rebuilds.
 	net.SetBoundsHint(reg.BBox())
+	if i, j, ok := net.CoincidentPair(); ok {
+		return nil, fmt.Errorf("sim: nodes %d and %d start at coincident positions %v and %v after clamping into the region", i, j, pos[i], pos[j])
+	}
 	d := &Deployment{
 		sim:         &Sim{},
 		reg:         reg,

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"math/rand"
+	"strings"
 	"testing"
 
 	"laacad/internal/core"
@@ -101,6 +102,14 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := NewDeployment(nil, pts, DefaultConfig(1)); err == nil {
 		t.Error("nil region should be rejected")
+	}
+}
+
+func TestNewDeploymentRejectsCoincidentStarts(t *testing.T) {
+	pts := []geom.Point{geom.Pt(0.2, 0.2), geom.Pt(0.5, 0.5), geom.Pt(0.5, 0.5), geom.Pt(0.5, 0.5)}
+	_, err := NewDeployment(region.UnitSquareKm(), pts, DefaultConfig(2))
+	if err == nil || !strings.Contains(err.Error(), "nodes 1 and 2") {
+		t.Fatalf("NewDeployment(coincident starts) = %v, want an error naming nodes 1 and 2", err)
 	}
 }
 

@@ -33,11 +33,6 @@ type Network struct {
 	pos   []geom.Point
 	gamma float64
 
-	// searchCount, when positive, overrides the deployment size the
-	// expanding search derives its fallback radius and exhaustion exit from
-	// (see SetSearchCount).
-	searchCount int
-
 	// Message counters. atomic.Int64 (not bare int64 + atomic ops) so the
 	// 8-byte alignment Charge needs is guaranteed on 32-bit platforms too.
 	msgs   atomic.Int64
@@ -114,23 +109,6 @@ func New(pos []geom.Point, gamma float64) *Network {
 
 // Len returns the number of nodes.
 func (n *Network) Len() int { return len(n.pos) }
-
-// SetSearchCount overrides the node count SearchLen reports. A sharded
-// engine's local network holds only a window of the deployment; the
-// expanding search's density-based fallback radius and its all-nodes-seen
-// exit must be computed against the GLOBAL deployment size to follow the
-// same probe sequence — and therefore the same floating-point evaluation
-// order — as the shared-memory engine. Zero restores the default (Len).
-func (n *Network) SetSearchCount(c int) { n.searchCount = c }
-
-// SearchLen returns the deployment size the expanding search should assume:
-// the SetSearchCount override when set, Len otherwise.
-func (n *Network) SearchLen() int {
-	if n.searchCount > 0 {
-		return n.searchCount
-	}
-	return len(n.pos)
-}
 
 // Gamma returns the transmission range γ.
 func (n *Network) Gamma() float64 { return n.gamma }
@@ -625,45 +603,21 @@ func (n *Network) NeighborsWithinDistBuf(i int, rho float64, ids []int, d2s []fl
 	return ids, d2s
 }
 
-// AppendInXRange appends the IDs of every node whose x-coordinate lies in
-// [lo, hi] (inclusive, finite bounds) to out[:0], in ascending ID order, and
-// returns the buffer — the sub-range index view the sharded engine uses to
-// assemble halo bands and serve border requests. The grid walk visits only
-// the cell columns intersecting the band; a band whose column window would
-// touch more cells than there are nodes falls back to a linear scan (both
-// paths return the identical canonical answer).
-func (n *Network) AppendInXRange(lo, hi float64, out []int) []int {
-	out = out[:0]
-	if !(lo <= hi) || len(n.pos) == 0 {
-		return out
-	}
-	n.rebuild()
-	g := n.idx
-	x0 := max(int(math.Floor(lo/g.side)), g.ox)
-	x1 := min(int(math.Floor(hi/g.side)), g.ox+g.nx-1)
-	if x1 < x0 {
-		return out // the band misses the grid, and every node is on the grid
-	}
-	if (x1-x0+1)*g.ny > len(n.pos) {
-		for j, q := range n.pos {
-			if q.X >= lo && q.X <= hi {
-				out = append(out, j)
-			}
-		}
-		return out
-	}
-	for y := 0; y < g.ny; y++ {
-		row := y * g.nx
-		for x := x0; x <= x1; x++ {
-			for _, j := range g.cells[row+x-g.ox] {
-				if q := n.pos[j].X; q >= lo && q <= hi {
-					out = append(out, int(j))
-				}
+// CoincidentPair returns the first pair of nodes i < j (ordered by i, then
+// j) whose positions coincide under geom.Point.Eq — the pairs that have no
+// bisector — and ok=false when there is none. Each node costs one index
+// query of radius 2·geom.Eps, which contains every Eq match.
+func (n *Network) CoincidentPair() (i, j int, ok bool) {
+	var buf []int
+	for i, p := range n.pos {
+		buf = n.NeighborsWithinBuf(i, 2*geom.Eps, buf)
+		for _, j := range buf {
+			if j > i && p.Eq(n.pos[j]) {
+				return i, j, true
 			}
 		}
 	}
-	slices.Sort(out)
-	return out
+	return 0, 0, false
 }
 
 // OneHop returns node i's one-hop neighbors: nodes strictly within the
